@@ -91,13 +91,18 @@ def test_batched_execution_speedup(benchmark):
     byte-identity between the modes is asserted separately in
     ``tests/property/test_property_batch_diff.py`` and ``tests/golden``,
     so this bench measures pure speed.
+
+    The same two modes also run with the pollution log on (``log=True``,
+    the ``pollute()`` default), interleaved with the log-off series: the
+    batch speedup must hold at >= 2x with the log on too, and the log may
+    cost at most 2x at batch 256 (the target is 1.3x).
     """
     n = scaled(small=20_000, paper=100_000)
     rows = [
         {"a": float(i % 97), "b": float(i % 13), "timestamp": i} for i in range(n)
     ]
 
-    def run(batch_size: int | None) -> float:
+    def run(batch_size: int | None, log: bool = False) -> float:
         gc.collect()
         start = time.perf_counter()
         pollute(
@@ -105,7 +110,7 @@ def test_batched_execution_speedup(benchmark):
             make_pipeline(4),
             schema=SCHEMA,
             seed=5,
-            log=False,
+            log=log,
             check="off",
             batch_size=batch_size,
         )
@@ -119,10 +124,19 @@ def test_batched_execution_speedup(benchmark):
             "batched[64]": lambda: run(64),
             "batched[256]": lambda: run(256),
             "batched[1024]": lambda: run(1024),
+            "record+log": lambda: run(None, log=True),
+            "batched[256]+log": lambda: run(256, log=True),
         },
-        converged=lambda m: m["record"] / m["batched[256]"] >= 2.0,
+        converged=lambda m: (
+            m["record"] / m["batched[256]"] >= 2.0
+            and m["record+log"] / m["batched[256]+log"] >= 2.0
+            and m["batched[256]+log"] / m["batched[256]"] <= 2.0
+        ),
     )
+    log_on = {mode: minima.pop(mode) for mode in ("record+log", "batched[256]+log")}
     speedups = {mode: minima["record"] / t for mode, t in minima.items()}
+    log_speedup = log_on["record+log"] / log_on["batched[256]+log"]
+    log_overhead = log_on["batched[256]+log"] / minima["batched[256]"]
 
     report(
         f"Throughput — batched execution speedup (n={n} tuples, direct engine, l=4)",
@@ -131,8 +145,15 @@ def test_batched_execution_speedup(benchmark):
             [
                 [mode, f"{t:.3f}", f"{n / t:,.0f}", f"{speedups[mode]:.2f}x"]
                 for mode, t in minima.items()
+            ]
+            + [
+                ["record+log", f"{log_on['record+log']:.3f}",
+                 f"{n / log_on['record+log']:,.0f}", "1.00x"],
+                ["batched[256]+log", f"{log_on['batched[256]+log']:.3f}",
+                 f"{n / log_on['batched[256]+log']:,.0f}", f"{log_speedup:.2f}x"],
             ],
-        ),
+        )
+        + f"\nlog on / log off at batch 256: {log_overhead:.2f}x (target 1.3x)",
     )
     record_bench(
         "batched_speedup",
@@ -142,10 +163,23 @@ def test_batched_execution_speedup(benchmark):
             "tuples_per_second_by_mode": {m: n / t for m, t in minima.items()},
             "speedup_by_mode": speedups,
             "target_speedup_at_256": 2.0,
+            "log_on_seconds_by_mode": log_on,
+            "log_on_tuples_per_second_by_mode": {m: n / t for m, t in log_on.items()},
+            "log_on_speedup_at_256": log_speedup,
+            "log_on_target_speedup_at_256": 2.0,
+            "log_overhead_at_256": log_overhead,
+            "log_overhead_target_at_256": 1.3,
+            "log_overhead_bound_at_256": 2.0,
         },
     )
     assert speedups["batched[256]"] >= 2.0, (
         f"batch-256 speedup {speedups['batched[256]']:.2f}x is below the 2x target"
+    )
+    assert log_speedup >= 2.0, (
+        f"batch-256 speedup with the log on {log_speedup:.2f}x is below 2x"
+    )
+    assert log_overhead <= 2.0, (
+        f"the log costs {log_overhead:.2f}x at batch 256, above the 2x bound"
     )
 
 

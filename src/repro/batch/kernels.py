@@ -52,7 +52,7 @@ from repro.check.factbase import (
 )
 from repro.core.errors.base import require_numeric
 from repro.core.errors.static_numeric import GaussianNoise, _preserve_int
-from repro.core.log import PollutionLog
+from repro.core.log import MISSING, PollutionLog
 from repro.core.pipeline import PollutionPipeline, _needs_rng
 from repro.core.polluter import Polluter, StandardPolluter
 from repro.errors import PollutionError
@@ -291,16 +291,20 @@ class StandardKernel(PolluterKernel):
         Replicates ``GaussianNoise.apply`` + the fired-path bookkeeping of
         ``StandardPolluter.apply_fired`` exactly: one normal draw per
         non-null numeric target in record-major order, ``_preserve_int``
-        on assignment, one log event per fired record (captured before /
-        after around that record's mutation), one buffered fire tally each.
+        on assignment, one log event per fired record (the targets' values
+        read before and after the slab's mutation, appended in one
+        :meth:`~repro.core.log.PollutionLog.record_slab` call), one
+        buffered fire tally each.
         """
         polluter = self.polluter
         error: Any = polluter.error
         attributes = polluter.attributes
         sigma = error.sigma
         if log is not None:
+            # As in apply_fired: an absent target logs before=None and is
+            # left out of after.
             targets = error.target_attributes(attributes)
-            befores = [{a: record.get(a) for a in targets} for record in fired]
+            befores = _target_values(fired, targets, None)
         pending: list[tuple[Record, str, float]] = []
         for record in fired:
             for name in attributes:
@@ -315,20 +319,25 @@ class StandardKernel(PolluterKernel):
         if obs is not None:
             obs.n_fires += len(fired)
         if log is not None:
-            qualified = polluter._qualified_name
-            described = error.describe()
-            for record, tau, before in zip(fired, fired_taus, befores):
-                after = record.as_dict()
-                log.record_event(
-                    record=record,
-                    polluter=qualified,
-                    error=described,
-                    attributes=targets,
-                    tau=tau,
-                    before=before,
-                    after={a: after[a] for a in targets if a in after},
-                    emitted=1,
-                )
+            log.record_slab(
+                fired,
+                fired_taus,
+                polluter._qualified_name,
+                error.describe(),
+                targets,
+                befores,
+                _target_values(fired, targets, MISSING),
+            )
+
+
+def _target_values(
+    records: list[Record], targets: tuple[str, ...], default: Any
+) -> list[tuple[Any, ...]]:
+    """Each record's values of ``targets`` (``default`` where absent)."""
+    if len(targets) == 1:
+        (name,) = targets
+        return [(record.get(name, default),) for record in records]
+    return [tuple([record.get(a, default) for a in targets]) for record in records]
 
 
 class CompiledPipeline:

@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.core.conditions.base import Condition
 from repro.core.conditions.random import AlwaysCondition
 from repro.core.errors.base import ErrorFunction
-from repro.core.log import PollutionLog
+from repro.core.log import MISSING, PollutionLog
 from repro.core.rng import RandomSource
 from repro.errors import PollutionError
 from repro.obs.metrics import MetricsRegistry
@@ -277,9 +277,7 @@ class StandardPolluter(Polluter):
         obs = self._obs
         if log is not None:
             targets = self.error.target_attributes(self.attributes)
-            before = {a: record.get(a) for a in targets}
-        else:
-            targets, before = (), None
+            before = tuple([record.get(a) for a in targets])
         out = self.error.apply(record, self.attributes, tau)
         if out is None:
             records: list[Record] = []
@@ -294,17 +292,20 @@ class StandardPolluter(Polluter):
             # row — the pre-resolved injection counters.
             obs.n_fires += 1
         if log is not None:
-            after = records[0].as_dict() if records else None
+            # ``after`` is the first emitted record's target values; the
+            # error string is formatted per event, since custom errors may
+            # vary it.
+            first = records[0] if records else None
             log.record_event(
                 record=record,
                 polluter=self._qualified_name,
                 error=self.error.describe(),
                 attributes=targets,
                 tau=tau,
-                before=before or {},
-                after={a: after[a] for a in targets if after and a in after}
-                if after is not None
-                else None,
+                before=before,
+                after=None
+                if first is None
+                else tuple([first.get(a, MISSING) for a in targets]),
                 emitted=len(records),
             )
         return Application(records, fired=True)

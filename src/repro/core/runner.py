@@ -427,10 +427,10 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
         )
     if batched and pollution_log is not None:
         # Batch kernels append log events polluter-major; the stable
-        # record-ID sort restores the sequential record-major order exactly
-        # (IDs are assigned in arrival order, within-record chain order is
-        # append order).
-        pollution_log.events[:] = PollutionLog.merged([pollution_log]).events
+        # record-ID reorder restores the sequential record-major order
+        # exactly (IDs are assigned in arrival order, within-record chain
+        # order is append order).
+        pollution_log = PollutionLog.merged([pollution_log])
     return PollutionResult(
         clean=clean,
         polluted=polluted,
@@ -633,10 +633,10 @@ class PollutionProcessFunction(ProcessFunction):
         # The pollution log is process-local and append-only; a rolled-back
         # slab must truncate it to the cut or the per-record replay would
         # record every pre-failure event twice.
-        return len(self._log.events) if self._log is not None else None
+        return len(self._log) if self._log is not None else None
 
     def slab_rollback(self, token) -> None:
-        del self._log.events[token:]
+        self._log.truncate(token)
 
 
 class _TeeSink(CollectSink):

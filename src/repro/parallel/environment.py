@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import pickle
 import queue as queue_mod
 import threading
@@ -61,6 +62,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro.core.log import PollutionLog
 from repro.errors import ShardError
 from repro.obs.ledger import RunLedger
 from repro.obs.live import LiveAggregator, ProgressRenderer
@@ -77,7 +79,7 @@ class ShardOutcome:
     """What one worker shard reported in its terminal ``done`` message."""
 
     shard: int
-    log_events: list = field(default_factory=list)
+    log_events: PollutionLog = field(default_factory=PollutionLog)
     metrics: Any | None = None
     watermark: int | None = None
     records_out: int = 0
@@ -102,8 +104,8 @@ class _ShardRuntime:
     """Coordinator-side state of one shard across its attempts."""
 
     __slots__ = (
-        "shard", "task", "assignment", "epoch", "in_queue", "worker",
-        "feeder", "stop", "restarts", "last_seen",
+        "shard", "task", "assignment", "epoch", "in_queue", "out_queue",
+        "worker", "feeder", "stop", "restarts", "last_seen",
     )
 
     def __init__(self, shard: int, task: ShardTask, assignment: list[Record]) -> None:
@@ -112,6 +114,7 @@ class _ShardRuntime:
         self.assignment = assignment
         self.epoch = 0
         self.in_queue: Any | None = None
+        self.out_queue: Any | None = None
         self.worker: Any | None = None
         self.feeder: threading.Thread | None = None
         self.stop = threading.Event()
@@ -365,31 +368,24 @@ class ShardedEnvironment:
         for rt in runtimes:
             self._pickle_task(rt.task)
 
-        out_queue = self._ctx.Queue()
         merger = ShardMerger(tasks[0].schema, n)
         outcomes: dict[int, ShardOutcome] = {}
         failure: ShardError | None = None
         try:
             for rt in runtimes:
-                self._start_attempt(rt, out_queue)
+                self._start_attempt(rt)
             next_watchdog = time.monotonic() + self.poll_interval
             while len(outcomes) < n and failure is None:
-                try:
-                    msg = out_queue.get(timeout=self.poll_interval)
-                except queue_mod.Empty:
-                    msg = None
-                except (OSError, EOFError, pickle.UnpicklingError):
-                    # A message torn by a worker dying mid-send; the
-                    # watchdog will see the corpse and recover the shard.
-                    msg = None
-                if msg is not None:
+                for msg in self._receive(runtimes):
                     failure = self._dispatch(msg, runtimes, merger, outcomes)
+                    if failure is not None:
+                        break
                 now = time.monotonic()
                 if failure is None and now >= next_watchdog:
-                    # Time-budgeted: a busy out-queue cannot starve
-                    # liveness checking.
+                    # Time-budgeted: busy out-queues cannot starve liveness
+                    # checking.
                     next_watchdog = now + self.poll_interval
-                    failure = self._watchdog(runtimes, out_queue, merger, outcomes)
+                    failure = self._watchdog(runtimes, merger, outcomes)
                 if self._progress is not None:
                     self._progress.maybe_render()
         finally:
@@ -411,22 +407,26 @@ class ShardedEnvironment:
                     if worker.is_alive():
                         worker.kill()
                         worker.join(timeout=5.0)
-                if rt.in_queue is not None:
-                    rt.in_queue.cancel_join_thread()
-                    rt.in_queue.close()
-            out_queue.cancel_join_thread()
-            out_queue.close()
+                for q in (rt.in_queue, rt.out_queue):
+                    if q is not None:
+                        q.cancel_join_thread()
+                        q.close()
         if failure is not None:
             raise failure
         return [outcomes[i] for i in range(n)], merger
 
-    def _start_attempt(self, rt: _ShardRuntime, out_queue: Any) -> None:
+    def _start_attempt(self, rt: _ShardRuntime) -> None:
         blob = self._pickle_task(rt.task)
         rt.stop = threading.Event()
         rt.in_queue = self._ctx.Queue(maxsize=self.queue_depth)
+        # One result queue per attempt, never shared: a worker killed while
+        # its queue's feeder thread holds the queue's cross-process write
+        # lock leaves that lock held for good, and on a queue shared by all
+        # workers that silences every other shard and every respawn.
+        rt.out_queue = self._ctx.Queue()
         rt.worker = self._ctx.Process(
             target=run_shard,
-            args=(blob, rt.in_queue, out_queue),
+            args=(blob, rt.in_queue, rt.out_queue),
             name=f"repro-shard-{rt.shard}",
             daemon=True,
         )
@@ -460,10 +460,34 @@ class ShardedEnvironment:
         if rt.feeder is not None:
             rt.feeder.join(timeout=5.0)
             rt.feeder = None
-        if rt.in_queue is not None:
-            rt.in_queue.cancel_join_thread()
-            rt.in_queue.close()
-            rt.in_queue = None
+        for q in (rt.in_queue, rt.out_queue):
+            if q is not None:
+                q.cancel_join_thread()
+                q.close()
+        rt.in_queue = rt.out_queue = None
+
+    def _receive(self, runtimes: list[_ShardRuntime]) -> list[tuple]:
+        """One message from each live attempt's result queue that has one.
+
+        Waits up to ``poll_interval`` for any queue to become readable.
+        """
+        queues = {
+            rt.out_queue._reader: rt.out_queue
+            for rt in runtimes
+            if rt.out_queue is not None
+        }
+        messages = []
+        ready = multiprocessing.connection.wait(list(queues), timeout=self.poll_interval)
+        for reader in ready:
+            try:
+                messages.append(queues[reader].get_nowait())
+            except queue_mod.Empty:
+                continue
+            except (OSError, EOFError, pickle.UnpicklingError):
+                # A message torn by a worker dying mid-send; the watchdog
+                # will see the corpse and recover the shard.
+                continue
+        return messages
 
     # -- dispatch ------------------------------------------------------------
 
@@ -540,14 +564,14 @@ class ShardedEnvironment:
 
     def _grace_drain(
         self,
-        out_queue: Any,
+        rt: _ShardRuntime,
         runtimes: list[_ShardRuntime],
         merger: ShardMerger,
         outcomes: dict[int, ShardOutcome],
     ) -> ShardError | None:
         """Drain straggler messages after seeing a dead worker.
 
-        A process can be dead while its final message still sits in the
+        A process can be dead while its final message still sits in its
         queue's pipe buffer; give delivery a moment before respawning what
         may in fact have finished.
         """
@@ -555,7 +579,7 @@ class ShardedEnvironment:
         failure: ShardError | None = None
         while time.monotonic() < deadline:
             try:
-                msg = out_queue.get(timeout=0.1)
+                msg = rt.out_queue.get(timeout=0.1)
             except queue_mod.Empty:
                 continue
             except (OSError, EOFError, pickle.UnpicklingError):
@@ -568,7 +592,6 @@ class ShardedEnvironment:
     def _watchdog(
         self,
         runtimes: list[_ShardRuntime],
-        out_queue: Any,
         merger: ShardMerger,
         outcomes: dict[int, ShardOutcome],
     ) -> ShardError | None:
@@ -586,7 +609,7 @@ class ShardedEnvironment:
             if not crashed and not hung:
                 continue
             if crashed:
-                failure = self._grace_drain(out_queue, runtimes, merger, outcomes)
+                failure = self._grace_drain(rt, runtimes, merger, outcomes)
                 if failure is not None:
                     return failure
                 if rt.shard in outcomes:
@@ -616,7 +639,7 @@ class ShardedEnvironment:
                         silent_seconds=round(now - rt.last_seen, 3),
                         reason=reason,
                     )
-            failure = self._recover(rt, reason, out_queue, merger, outcomes)
+            failure = self._recover(rt, reason, merger, outcomes)
             if failure is not None:
                 return failure
         return None
@@ -625,7 +648,6 @@ class ShardedEnvironment:
         self,
         rt: _ShardRuntime,
         reason: str,
-        out_queue: Any,
         merger: ShardMerger,
         outcomes: dict[int, ShardOutcome],
     ) -> ShardError | None:
@@ -651,7 +673,7 @@ class ShardedEnvironment:
                 resume=resume_path,
                 backoff_seconds=backoff,
             )
-        self._start_attempt(rt, out_queue)
+        self._start_attempt(rt)
         # After mark_spawn, so the view shows "recovering" until the fresh
         # incarnation's first telemetry snapshot arrives.
         if self._telemetry is not None:

@@ -290,7 +290,7 @@ class ShardOutputSink(Sink):
             "records": [r.copy() for r in self._buffer],
             "watermark": self.watermark,
             "emitted": self.emitted,
-            "log_events": list(self._log.events) if self._log is not None else None,
+            "log_events": self._log.copy() if self._log is not None else None,
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
@@ -298,7 +298,8 @@ class ShardOutputSink(Sink):
         self.watermark = state["watermark"]
         self.emitted = state["emitted"]
         if state.get("log_events") is not None and self._log is not None:
-            self._log.events[:] = state["log_events"]
+            self._log.truncate(0)
+            self._log.extend(state["log_events"])
 
 
 def _safe_dumps(payload: Any) -> bytes:
@@ -465,7 +466,7 @@ def _execute_shard_plan(plan: Any, in_queue: Any, out_queue: Any) -> dict[str, A
             metrics.gauge("shard_watermark", shard=task.shard).set(sink.watermark)
     return {
         "shard": task.shard,
-        "log_events": list(log.events) if log is not None else [],
+        "log_events": log if log is not None else PollutionLog(),
         "metrics": metrics if task.metered else None,
         "watermark": sink.watermark,
         "records_out": sink.emitted,

@@ -42,7 +42,7 @@ from repro.errors import CheckpointError
 
 CHECKPOINT_SUFFIX = ".ckpt"
 #: Bump when the Checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 #: Leading marker of digest-framed checkpoint files (8 bytes).
 CHECKPOINT_MAGIC = b"ICEWAFL\x01"
 _DIGEST_LEN = 64  # sha256 hexdigest, ascii

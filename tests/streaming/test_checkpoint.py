@@ -62,6 +62,16 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError):
             load_checkpoint(bogus)
 
+    def test_version_1_checkpoint_refused(self, tmp_path):
+        # Version 1 retained shard logs as lists of PollutionEvent; version 2
+        # carries the log's columns, so an old file must not misload.
+        path = CheckpointStore(tmp_path).save(
+            Checkpoint(0, 3, 3, None, None, {"n": 3}, version=1)
+        )
+        with pytest.raises(CheckpointError, match="format version 1") as exc:
+            load_checkpoint(path)
+        assert path.name in str(exc.value)
+
     def test_interval_validation(self):
         with pytest.raises(CheckpointError):
             CheckpointConfig(0)
