@@ -21,8 +21,7 @@ def save_records(records: Sequence[Record], schema: Schema, path: str | Path) ->
     sink = CsvSink(schema, Path(path))
     sink.open()
     try:
-        for record in records:
-            sink.invoke(record)
+        sink.invoke_batch(records)
     finally:
         sink.close()
 

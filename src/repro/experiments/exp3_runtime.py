@@ -123,11 +123,7 @@ def _run_polluted(
     outcome = pollute(
         source, pipeline, seed=seed, log=False, engine="stream",
     )
-    sink = CsvSink(WEARABLE_SCHEMA, out_path)
-    sink.open()
-    for record in outcome.polluted:
-        sink.invoke(record)
-    sink.close()
+    save_records(outcome.polluted, WEARABLE_SCHEMA, out_path)
 
 
 def run_runtime_overhead(

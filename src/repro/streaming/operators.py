@@ -499,9 +499,7 @@ class SinkNode(Node):
         self.sink.invoke(record)
 
     def on_batch(self, records: list[Record]) -> None:
-        invoke = self.sink.invoke
-        for record in records:
-            invoke(record)
+        self.sink.invoke_batch(records)
 
     def on_watermark(self, watermark: Watermark) -> None:
         pass

@@ -21,7 +21,7 @@ the pipeline so the clean stream is never aliased by the dirty one.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
 
@@ -69,6 +69,10 @@ class Record:
 
     def get(self, name: str, default: Any = None) -> Any:
         return self._values.get(name, default)
+
+    def get_many(self, names: Iterable[str]) -> Iterator[Any]:
+        """The values of ``names`` in order, ``None`` for an absent name."""
+        return map(self._values.get, names)
 
     def keys(self):
         return self._values.keys()

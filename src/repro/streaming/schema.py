@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 
@@ -118,15 +118,26 @@ class Attribute:
 
         Empty strings and the literals ``NA``/``NaN``/``null`` parse to ``None``.
         """
-        if text == "" or text in ("NA", "NaN", "nan", "null", "None"):
-            return None
-        if self.dtype is DataType.FLOAT:
-            return float(text)
-        if self.dtype in (DataType.INT, DataType.TIMESTAMP):
-            return int(float(text))
-        if self.dtype is DataType.BOOL:
-            return text.strip().lower() in ("1", "true", "yes")
-        return text
+        return COLUMN_PARSERS[self.dtype]((text,))[0]
+
+
+#: Cell texts that parse to ``None`` in every dtype, ``NaN`` among them: a
+#: NaN that :class:`~repro.streaming.sink.CsvSink` writes reads back as ``None``.
+NA_LITERALS = frozenset(("", "NA", "NaN", "nan", "null", "None"))
+_TRUE = frozenset(("1", "true", "yes"))
+
+#: Per dtype, the converter from a column of CSV cells to values;
+#: :meth:`Attribute.parse` is its one-cell case.
+COLUMN_PARSERS: dict[DataType, Callable[[Sequence[str]], list[Any]]] = {
+    DataType.FLOAT: lambda cells: [None if t in NA_LITERALS else float(t) for t in cells],
+    DataType.INT: lambda cells: [None if t in NA_LITERALS else int(float(t)) for t in cells],
+    DataType.BOOL: lambda cells: [
+        None if t in NA_LITERALS else t.strip().lower() in _TRUE for t in cells
+    ],
+    DataType.STRING: lambda cells: [None if t in NA_LITERALS else t for t in cells],
+}
+COLUMN_PARSERS[DataType.TIMESTAMP] = COLUMN_PARSERS[DataType.INT]
+COLUMN_PARSERS[DataType.CATEGORY] = COLUMN_PARSERS[DataType.STRING]
 
 
 class Schema:
@@ -157,6 +168,7 @@ class Schema:
         if not attrs:
             raise SchemaError("schema must have at least one attribute")
         self._attributes: tuple[Attribute, ...] = tuple(attrs)
+        self._names: tuple[str, ...] = tuple(names)
         self._by_name: dict[str, Attribute] = {a.name: a for a in attrs}
         self._timestamp_attribute = self._resolve_timestamp(timestamp_attribute)
 
@@ -181,7 +193,7 @@ class Schema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self._attributes)
+        return self._names
 
     @property
     def timestamp_attribute(self) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
@@ -26,6 +26,11 @@ class Sink:
 
     def invoke(self, record: Record) -> None:
         raise NotImplementedError
+
+    def invoke_batch(self, records: Iterable[Record]) -> None:
+        """Take records in stream order; sinks with a bulk write override it."""
+        for record in records:
+            self.invoke(record)
 
     def close(self) -> None:
         """Called once after the last record."""
@@ -123,12 +128,16 @@ class CsvSink(Sink):
         self._writer.writerow(header)
 
     def invoke(self, record: Record) -> None:
+        self.invoke_batch((record,))
+
+    def invoke_batch(self, records: Iterable[Record]) -> None:
         if self._writer is None:
             self.open()
-        row = [_render(record.get(n)) for n in self._schema.names]
-        if self._include_metadata:
-            row = [_render(record.record_id), _render(record.substream), *row]
-        self._writer.writerow(row)
+        # The writer pulls one rendered row at a time, so a batch of any
+        # length never holds all its rows in memory.
+        self._writer.writerows(
+            _rows(records, self._schema.names, self._include_metadata)
+        )
 
     def close(self) -> None:
         if self._file is not None and self._owns_file:
@@ -152,9 +161,16 @@ class CsvSink(Sink):
         return state
 
 
-def _render(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and value != value:  # NaN
-        return "NaN"
-    return str(value)
+def _rows(
+    records: Iterable[Record], names: tuple[str, ...], include_metadata: bool
+) -> Iterator[list[str]]:
+    for record in records:
+        values: Iterable[Any] = record.get_many(names)
+        if include_metadata:
+            values = (record.record_id, record.substream, *values)
+        # ``None`` is an empty cell and NaN is written ``NaN``: left to
+        # itself, csv.writer writes NaN as ``nan`` and float subclasses by repr.
+        yield [
+            "" if v is None else "NaN" if isinstance(v, float) and v != v else str(v)
+            for v in values
+        ]
